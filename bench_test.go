@@ -317,7 +317,7 @@ func BenchmarkWelfareOptimum(b *testing.B) {
 	}
 }
 
-// BenchmarkHeteroAlgorithm1 measures the heterogeneous-budget allocation
+// BenchmarkHeteroAlgorithm1 measures Algorithm 1 on a mixed-budget game
 // (experiment E11's engine).
 func BenchmarkHeteroAlgorithm1(b *testing.B) {
 	b.ReportAllocs()
@@ -325,13 +325,13 @@ func BenchmarkHeteroAlgorithm1(b *testing.B) {
 	for i := range budgets {
 		budgets[i] = 1 + i%16
 	}
-	g, err := chanalloc.NewHeteroGame(32, budgets, chanalloc.TDMA(1))
+	g, err := chanalloc.NewBudgetGame(32, budgets, chanalloc.TDMA(1))
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := chanalloc.HeteroAlgorithm1(g, chanalloc.TieFirst, 0); err != nil {
+		if _, err := chanalloc.Algorithm1(g); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -546,20 +546,20 @@ func BenchmarkEnumerateNESymmetry(b *testing.B) {
 }
 
 // BenchmarkScreenIncremental measures symmetry-reduced enumeration on a
-// mixed-budget heterogeneous game (budgets 1,2,2,3 over 4 channels): three
+// mixed-budget game (budgets 1,2,2,3 over 4 channels): three
 // exchangeability classes, so the orbit reduction is weak and the runtime
 // is dominated by the per-profile screen — the lever here is the
 // incremental screen cache (per-user verdicts invalidated only via the
 // walk's dirty-channel stamps) rather than orbit collapsing.
 func BenchmarkScreenIncremental(b *testing.B) {
 	b.ReportAllocs()
-	g, err := chanalloc.NewHeteroGame(4, []int{1, 2, 2, 3}, chanalloc.TDMA(1))
+	g, err := chanalloc.NewBudgetGame(4, []int{1, 2, 2, 3}, chanalloc.TDMA(1))
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reps, err := chanalloc.HeteroEnumerateNECanonical(g, 10_000_000)
+		reps, err := chanalloc.EnumerateNECanonical(g, 10_000_000)
 		if err != nil {
 			b.Fatal(err)
 		}

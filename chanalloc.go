@@ -8,7 +8,9 @@
 // # Model
 //
 // |N| selfish users each own a device with k ≤ |C| radios and distribute
-// them over |C| orthogonal channels. The total rate R(k_c) of a channel is
+// them over |C| orthogonal channels (NewGame). The same Game also takes a
+// per-user budget vector k_i (NewBudgetGame); the paper's uniform-only
+// results (Lemmas 2-4, Theorem 1) report a violation on mixed budgets. The total rate R(k_c) of a channel is
 // non-increasing in the number of radios k_c sharing it and is split evenly
 // among them, so user i earns U_i = Σ_c k_{i,c}/k_c · R(k_c).
 //
@@ -52,7 +54,7 @@ import (
 
 // Core game types, re-exported.
 type (
-	// Game fixes |N|, |C|, k and the rate function.
+	// Game fixes |N|, |C|, the radio budgets and the rate function.
 	Game = core.Game
 	// Alloc is a strategy matrix with cached channel loads.
 	Alloc = core.Alloc
@@ -91,6 +93,12 @@ const DefaultEps = core.DefaultEps
 // and k = radios per user (k ≤ |C|).
 func NewGame(users, channels, radios int, rate RateFunc) (*Game, error) {
 	return core.NewGame(users, channels, radios, rate)
+}
+
+// NewBudgetGame builds a game where user i owns budgets[i] radios
+// (1 <= k_i <= channels); equal budgets give the uniform game.
+func NewBudgetGame(channels int, budgets []int, rate RateFunc) (*Game, error) {
+	return core.NewBudgetGame(channels, budgets, rate)
 }
 
 // NewAlloc returns an all-zero allocation.
@@ -140,6 +148,14 @@ func CheckAllLemmas(g *Game, a *Alloc) []*Violation {
 	return core.CheckAllLemmas(g, a)
 }
 
+// LoadBalanced reports whether channel loads differ by at most one (the
+// Proposition 1 property, which mixed budgets keep; see E11).
+func LoadBalanced(a *Alloc) bool {
+	maxLoad, _ := a.MaxLoad()
+	minLoad, _ := a.MinLoad()
+	return maxLoad-minLoad <= 1
+}
+
 // BestResponseToLoads computes the optimal placement of up to k radios
 // against fixed external channel loads.
 func BestResponseToLoads(rate RateFunc, ext []int, k int) ([]int, float64, error) {
@@ -165,9 +181,9 @@ func OptimalWelfareAllPlaced(g *Game) (float64, []int) {
 }
 
 // OptimalLoadWelfare maximises Σ_{c : l_c > 0} R(l_c) over load vectors on
-// C channels placing exactly total radios — the welfare DP shared by the
-// uniform and heterogeneous benchmarks, exposed for callers that only know
-// aggregate loads. One-shot form of OptimalLoadWelfareInto.
+// C channels placing exactly total radios — the welfare DP behind
+// OptimalWelfareAllPlaced, exposed for callers that only know aggregate
+// loads. One-shot form of OptimalLoadWelfareInto.
 func OptimalLoadWelfare(rate RateFunc, C, total int) (float64, []int) {
 	return core.OptimalLoadWelfare(rate, C, total)
 }

@@ -86,9 +86,3 @@ func WithDynamicsSeed(seed uint64) DynamicsOption { return dynamics.WithSeed(see
 // batch runner automatically) to make steady-state convergence runs
 // allocation-free.
 func WithDynamicsWorkspace(ws *Workspace) DynamicsOption { return dynamics.WithWorkspace(ws) }
-
-// RunHeteroBestResponse is RunBestResponse over a heterogeneous-budget
-// game: the identical sweep and quiet caching with per-user radio budgets.
-func RunHeteroBestResponse(g *HeteroGame, start *Alloc, opts ...DynamicsOption) (DynamicsResult, error) {
-	return dynamics.RunBestResponseHetero(g, start, opts...)
-}

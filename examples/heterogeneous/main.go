@@ -1,8 +1,9 @@
 // Heterogeneous deployment: devices with different radio counts (a
 // carrier-grade backhaul node with 4 radios, mid-tier APs with 2-3, an IoT
 // gateway with 1) share the 5 GHz U-NII band. The paper assumes a uniform
-// radio count; this example exercises the library's heterogeneous-budget
-// extension (EXPERIMENTS.md E11) and prints real channel frequencies.
+// radio count; the deployment's game takes the counts as its per-user
+// budget vector (EXPERIMENTS.md E11), and the example prints real channel
+// frequencies.
 //
 //	go run ./examples/heterogeneous
 package main
@@ -36,12 +37,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	g, err := deployment.HeteroGame(rate)
+	g, err := deployment.Game(rate)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	alloc, err := chanalloc.HeteroAlgorithm1(g, chanalloc.TieFirst, 0)
+	alloc, err := chanalloc.Algorithm1(g)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -133,6 +133,21 @@ func TestBestResponseErrors(t *testing.T) {
 	if _, _, err := g.BestResponse(small, 0); err == nil {
 		t.Error("mismatched alloc should error")
 	}
+
+	mixed := mustBudgetGame(t, 3, []int{2, 1}, ratefn.NewTDMA(1))
+	empty := mixed.NewEmptyAlloc()
+	if _, _, err := mixed.BestResponse(empty, -1); err == nil {
+		t.Error("negative user should error")
+	}
+	if _, _, err := mixed.BestResponse(empty, 5); err == nil {
+		t.Error("out-of-range user should error")
+	}
+	if _, _, err := mixed.BestResponse(small, 0); err == nil {
+		t.Error("mismatched alloc should error")
+	}
+	if _, err := mixed.FindDeviation(empty, -1); err == nil {
+		t.Error("negative eps should error")
+	}
 }
 
 func TestFindDeviationOnFigure1(t *testing.T) {

@@ -74,15 +74,16 @@ func referenceUtility(g *Game, a *Alloc, i int) float64 {
 	return u
 }
 
-// referenceIsNE is the pre-refactor oracle: per-user reference DP against
-// reference utility at DefaultEps, no screen.
+// referenceIsNE is the pre-refactor oracle: per-user reference DP (up to
+// the user's own budget) against reference utility at DefaultEps, no
+// screen.
 func referenceIsNE(g *Game, a *Alloc) bool {
 	for i := 0; i < g.Users(); i++ {
 		ext := make([]int, g.Channels())
 		for c := range ext {
 			ext[c] = a.Load(c) - a.Radios(i, c)
 		}
-		_, best := referenceBestResponseToLoads(g.Rate(), ext, g.Radios())
+		_, best := referenceBestResponseToLoads(g.Rate(), ext, g.Budget(i))
 		if best > referenceUtility(g, a, i)+DefaultEps {
 			return false
 		}
@@ -94,22 +95,19 @@ func referenceIsNE(g *Game, a *Alloc) bool {
 // odometer (every user re-set on every profile) plus referenceIsNE.
 func referenceEnumerateNE(t *testing.T, g *Game, maxProfiles int64) []*Alloc {
 	t.Helper()
-	rows, err := strategyRows(g)
+	rows, err := cappedStrategyRows(g, maxProfiles)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := checkProfileCap(g.Users(), int64(len(rows)), maxProfiles); err != nil {
 		t.Fatal(err)
 	}
 	a := g.NewEmptyAlloc()
 	sizes := make([]int, g.Users())
 	for i := range sizes {
-		sizes[i] = len(rows)
+		sizes[i] = len(rows[i])
 	}
 	var out []*Alloc
 	err = combin.Product(sizes, func(idx []int) bool {
 		for i, ri := range idx {
-			if err := a.SetRow(i, rows[ri]); err != nil {
+			if err := a.SetRow(i, rows[i][ri]); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -8,17 +8,25 @@ import (
 )
 
 // Game fixes the parameters of one channel allocation game: |N| users, |C|
-// channels, k radios per user and the common rate function R. Construction
-// precomputes a RateView — R(0..|N|·k) plus the best-response share plane —
-// so the hot paths (utilities, welfare, potential, the best-response DP)
-// read tables instead of calling through the rate interface. The rate
-// function must therefore be pure; it is sampled once in NewGame.
+// channels, a radio budget k_i per user and the common rate function R.
+// The paper's model (§2) is the uniform case, every k_i = k (NewGame); a
+// mixed budget vector (NewBudgetGame) generalises it, and all-ones budgets
+// give the single-radio regime. Results the paper proves only for uniform
+// budgets (Lemmas 2-4, Theorem 1) check Uniform themselves.
+//
+// Construction precomputes a RateView — R(0..Σ_i k_i) plus the
+// best-response share plane — so the hot paths (utilities, welfare,
+// potential, the best-response DP) read tables instead of calling through
+// the rate interface. The rate function must therefore be pure; it is
+// sampled once at construction.
 type Game struct {
-	users    int
-	channels int
-	radios   int
-	rate     ratefn.Func
-	view     *RateView
+	channels  int
+	budgets   []int
+	total     int  // Σ_i k_i: the largest load any channel can carry
+	maxBudget int  // max_i k_i
+	uniform   bool // every budget equal (the paper's model)
+	rate      ratefn.Func
+	view      *RateView
 
 	// All-placed welfare optimum, memoised on first use (see
 	// allPlacedOptimum): written once under optOnce, read lock-free after,
@@ -28,8 +36,9 @@ type Game struct {
 	optLoads []int
 }
 
-// NewGame validates and constructs a game. The paper's standing assumption
-// k <= |C| is enforced here.
+// NewGame validates and constructs the paper's uniform game: users users
+// with radios radios each. The paper's standing assumption k <= |C| is
+// enforced here.
 func NewGame(users, channels, radios int, rate ratefn.Func) (*Game, error) {
 	switch {
 	case users < 1:
@@ -43,23 +52,97 @@ func NewGame(users, channels, radios int, rate ratefn.Func) (*Game, error) {
 	case rate == nil:
 		return nil, fmt.Errorf("core: nil rate function")
 	}
-	return &Game{
-		users:    users,
-		channels: channels,
-		radios:   radios,
-		rate:     rate,
-		view:     NewRateView(rate, users*radios, radios),
-	}, nil
+	budgets := make([]int, users)
+	for i := range budgets {
+		budgets[i] = radios
+	}
+	return newGame(channels, budgets, rate, nil), nil
+}
+
+// NewBudgetGame validates and constructs a game where user i owns
+// budgets[i] radios, 1 <= k_i <= channels. The budget vector is copied.
+func NewBudgetGame(channels int, budgets []int, rate ratefn.Func) (*Game, error) {
+	if err := checkBudgets(channels, budgets); err != nil {
+		return nil, err
+	}
+	if rate == nil {
+		return nil, fmt.Errorf("core: nil rate function")
+	}
+	return newGame(channels, append([]int(nil), budgets...), rate, nil), nil
+}
+
+// NewBudgetGameView is NewBudgetGame over an existing rate view, whose
+// rate function the game adopts. Any view of the same rate function gives
+// identical results — a domain that does not cover the game only falls
+// back to direct evaluation — so a mutable game can snapshot immutable
+// games that share one view.
+func NewBudgetGameView(view *RateView, channels int, budgets []int) (*Game, error) {
+	if view == nil || view.Rate() == nil {
+		return nil, fmt.Errorf("core: nil rate view")
+	}
+	if err := checkBudgets(channels, budgets); err != nil {
+		return nil, err
+	}
+	return newGame(channels, append([]int(nil), budgets...), view.Rate(), view), nil
+}
+
+// checkBudgets validates a channel count and a budget vector.
+func checkBudgets(channels int, budgets []int) error {
+	if channels < 1 {
+		return fmt.Errorf("core: channels = %d, want >= 1", channels)
+	}
+	if len(budgets) == 0 {
+		return fmt.Errorf("core: no users")
+	}
+	for i, k := range budgets {
+		if k < 1 {
+			return fmt.Errorf("core: user %d budget %d, want >= 1", i, k)
+		}
+		if k > channels {
+			return fmt.Errorf("core: user %d budget %d exceeds %d channels", i, k, channels)
+		}
+	}
+	return nil
+}
+
+// newGame builds a game from validated parts, taking ownership of budgets;
+// a nil view is precomputed over the game's load domain.
+func newGame(channels int, budgets []int, rate ratefn.Func, view *RateView) *Game {
+	g := &Game{channels: channels, budgets: budgets, uniform: true, rate: rate, view: view}
+	for _, k := range budgets {
+		g.total += k
+		if k > g.maxBudget {
+			g.maxBudget = k
+		}
+		if k != budgets[0] {
+			g.uniform = false
+		}
+	}
+	if g.view == nil {
+		g.view = NewRateView(rate, g.total, g.maxBudget)
+	}
+	return g
 }
 
 // Users returns |N|.
-func (g *Game) Users() int { return g.users }
+func (g *Game) Users() int { return len(g.budgets) }
 
 // Channels returns |C|.
 func (g *Game) Channels() int { return g.channels }
 
-// Radios returns k, the per-user radio budget.
-func (g *Game) Radios() int { return g.radios }
+// Radios returns k, the per-user radio budget of a uniform game; for mixed
+// budgets it is the largest budget.
+func (g *Game) Radios() int { return g.maxBudget }
+
+// Budget returns k_i, user i's radio budget.
+func (g *Game) Budget(i int) int { return g.budgets[i] }
+
+// Budgets returns a copy of the budget vector.
+func (g *Game) Budgets() []int { return append([]int(nil), g.budgets...) }
+
+// Uniform reports whether every user has the same budget — the paper's
+// model, to which Lemmas 2-4 and Theorem 1 are restricted.
+func (g *Game) Uniform() bool { return g.uniform }
 
 // Rate returns the game's rate function.
 func (g *Game) Rate() ratefn.Func { return g.rate }
@@ -69,33 +152,34 @@ func (g *Game) Rate() ratefn.Func { return g.rate }
 // goroutines.
 func (g *Game) View() *RateView { return g.view }
 
-// HasConflict reports whether |N|·k > |C|, the regime of the paper's §3
-// analysis (otherwise Fact 1 applies: radios simply spread out).
-func (g *Game) HasConflict() bool { return g.users*g.radios > g.channels }
+// HasConflict reports whether Σ_i k_i > |C| (|N|·k > |C| for uniform
+// budgets), the regime of the paper's §3 analysis (otherwise Fact 1
+// applies: radios simply spread out).
+func (g *Game) HasConflict() bool { return g.total > g.channels }
 
 // NewEmptyAlloc returns an all-zero allocation with this game's dimensions.
 func (g *Game) NewEmptyAlloc() *Alloc {
-	a, err := NewAlloc(g.users, g.channels)
+	a, err := NewAlloc(g.Users(), g.channels)
 	if err != nil {
-		// Game dimensions were validated in NewGame.
+		// Game dimensions were validated at construction.
 		panic("core: invalid game dimensions: " + err.Error())
 	}
 	return a
 }
 
 // CheckAlloc verifies that a is a legal strategy matrix for this game:
-// matching dimensions and every user within the k-radio budget.
+// matching dimensions and every user within its radio budget.
 func (g *Game) CheckAlloc(a *Alloc) error {
 	if a == nil {
 		return fmt.Errorf("core: nil allocation")
 	}
-	if a.Users() != g.users || a.Channels() != g.channels {
+	if a.Users() != g.Users() || a.Channels() != g.channels {
 		return fmt.Errorf("core: allocation is %dx%d, game is %dx%d",
-			a.Users(), a.Channels(), g.users, g.channels)
+			a.Users(), a.Channels(), g.Users(), g.channels)
 	}
-	for i := 0; i < g.users; i++ {
-		if total := a.UserTotal(i); total > g.radios {
-			return fmt.Errorf("core: user %d deploys %d radios, budget is %d", i, total, g.radios)
+	for i, k := range g.budgets {
+		if total := a.UserTotal(i); total > k {
+			return fmt.Errorf("core: user %d deploys %d radios, budget is %d", i, total, k)
 		}
 	}
 	return nil
@@ -130,7 +214,7 @@ func (g *Game) UtilitiesInto(ws *Workspace, a *Alloc) []float64 {
 // public OptimalWelfareAllPlaced copies.
 func (g *Game) allPlacedOptimum() (float64, []int) {
 	g.optOnce.Do(func() {
-		val, loads := OptimalLoadWelfareInto(NewWorkspace(), g.view.Frozen(), g.channels, g.users*g.radios)
+		val, loads := OptimalLoadWelfareInto(NewWorkspace(), g.view.Frozen(), g.channels, g.total)
 		g.optVal = val
 		g.optLoads = append([]int(nil), loads...)
 	})

@@ -16,6 +16,16 @@ func mustGame(t *testing.T, users, channels, radios int, r ratefn.Func) *Game {
 	return g
 }
 
+// mustBudgetGame builds a game with per-user budgets.
+func mustBudgetGame(t *testing.T, channels int, budgets []int, r ratefn.Func) *Game {
+	t.Helper()
+	g, err := NewBudgetGame(channels, budgets, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // figure1Game returns the game of the paper's Figure 1 with unit-rate TDMA.
 func figure1Game(t *testing.T) (*Game, *Alloc) {
 	t.Helper()
@@ -43,6 +53,34 @@ func TestNewGameValidation(t *testing.T) {
 			}
 		})
 	}
+	budgetCases := []struct {
+		name     string
+		channels int
+		budgets  []int
+		rate     ratefn.Func
+	}{
+		{"budget-zero-channels", 0, []int{1}, r},
+		{"budget-no-users", 3, nil, r},
+		{"budget-zero", 3, []int{0}, r},
+		{"budget-exceeds-channels", 3, []int{4}, r},
+		{"budget-nil-rate", 3, []int{2}, nil},
+	}
+	for _, tc := range budgetCases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := NewBudgetGame(tc.channels, tc.budgets, tc.rate); err == nil {
+				t.Fatalf("NewBudgetGame(%d,%v) should error", tc.channels, tc.budgets)
+			}
+			if tc.rate == nil {
+				return
+			}
+			if _, err := NewBudgetGameView(NewRateView(tc.rate, 8, 4), tc.channels, tc.budgets); err == nil {
+				t.Fatalf("NewBudgetGameView(%d,%v) should error", tc.channels, tc.budgets)
+			}
+		})
+	}
+	if _, err := NewBudgetGameView(nil, 3, []int{1}); err == nil {
+		t.Fatal("NewBudgetGameView with a nil view should error")
+	}
 }
 
 func TestGameAccessors(t *testing.T) {
@@ -58,6 +96,31 @@ func TestGameAccessors(t *testing.T) {
 	}
 	if mustGame(t, 1, 5, 3, ratefn.NewTDMA(1)).HasConflict() {
 		t.Fatal("1*3 <= 5 should not be a conflict")
+	}
+	if !g.Uniform() || g.Budget(3) != 3 {
+		t.Fatal("NewGame must build the uniform budget vector")
+	}
+
+	mixed := mustBudgetGame(t, 4, []int{3, 1, 2}, ratefn.NewTDMA(1))
+	if mixed.Users() != 3 || mixed.Channels() != 4 || mixed.Uniform() {
+		t.Fatalf("mixed dims %dx%d uniform=%v", mixed.Users(), mixed.Channels(), mixed.Uniform())
+	}
+	if mixed.Budget(0) != 3 || mixed.Budget(1) != 1 || mixed.Budget(2) != 2 || mixed.Radios() != 3 {
+		t.Fatal("budgets wrong")
+	}
+	if !mixed.HasConflict() {
+		t.Fatal("3+1+2 > 4 should be a conflict")
+	}
+	budgets := mixed.Budgets()
+	budgets[0] = 99
+	if mixed.Budget(0) == 99 {
+		t.Fatal("Budgets returned aliased storage")
+	}
+	in := []int{2, 2}
+	g2 := mustBudgetGame(t, 3, in, ratefn.NewTDMA(1))
+	in[0] = 1
+	if g2.Budget(0) != 2 || !g2.Uniform() {
+		t.Fatal("NewBudgetGame must copy its budget vector")
 	}
 }
 
@@ -84,6 +147,17 @@ func TestCheckAlloc(t *testing.T) {
 	})
 	if err := g.CheckAlloc(over); err == nil {
 		t.Error("over-budget user should error")
+	}
+
+	mixed := mustBudgetGame(t, 3, []int{2, 1}, ratefn.NewTDMA(1))
+	if err := mixed.CheckAlloc(mustAlloc(t, [][]int{{1, 1, 0}, {0, 0, 1}})); err != nil {
+		t.Fatalf("legal mixed-budget alloc rejected: %v", err)
+	}
+	if err := mixed.CheckAlloc(mustAlloc(t, [][]int{{1, 1, 0}, {1, 0, 1}})); err == nil {
+		t.Error("user over its own budget of 1 should error")
+	}
+	if err := mixed.CheckAlloc(nil); err == nil {
+		t.Error("nil alloc should error")
 	}
 }
 
@@ -126,6 +200,19 @@ func TestUtilitySumEqualsWelfare(t *testing.T) {
 		if w := g.Welfare(a); math.Abs(sum-w) > 1e-9 {
 			t.Errorf("%s: ΣU = %v but welfare = %v", r.Name(), sum, w)
 		}
+	}
+
+	mixed := mustBudgetGame(t, 4, []int{3, 1, 2}, ratefn.Harmonic{R0: 2, Alpha: 0.5})
+	am, err := Algorithm1(mixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum float64
+	for i := 0; i < mixed.Users(); i++ {
+		sum += mixed.Utility(am, i)
+	}
+	if math.Abs(sum-mixed.Welfare(am)) > 1e-9 {
+		t.Fatalf("mixed budgets: ΣU = %v, welfare = %v", sum, mixed.Welfare(am))
 	}
 }
 

@@ -6,7 +6,7 @@ import "fmt"
 // paper's necessary NE conditions. Users and channels are 0-based indices;
 // -1 marks "not applicable".
 type Violation struct {
-	Rule     string // "lemma1", "lemma2", "lemma3", "lemma4", "prop1", "thm1-cond2", "fact1"
+	Rule     string // "lemma1", "lemma2", "lemma3", "lemma4", "prop1", "thm1-cond2", "fact1", "uniform"
 	User     int
 	ChannelB int
 	ChannelC int
@@ -35,14 +35,28 @@ func (v *Violation) String() string {
 	return s
 }
 
-// CheckLemma1 tests the paper's Lemma 1: in a NE every user deploys all k
-// radios. It returns a witness for the first under-deploying user, or nil.
+// uniformOnly is the verdict of a check the paper states for uniform
+// budgets only: nil on a uniform game, and otherwise a "uniform" violation
+// naming the rule, so a mixed-budget game never gets a silent verdict.
+func uniformOnly(g *Game, rule string) *Violation {
+	if g.Uniform() {
+		return nil
+	}
+	return &Violation{
+		Rule: "uniform", User: -1, ChannelB: -1, ChannelC: -1,
+		Detail: fmt.Sprintf("%s is stated for uniform budgets; game has budgets %v", rule, g.budgets),
+	}
+}
+
+// CheckLemma1 tests the paper's Lemma 1: in a NE every user deploys its
+// whole budget. It returns a witness for the first under-deploying user,
+// or nil. The argument is budget-free, so it holds for mixed budgets too.
 func CheckLemma1(g *Game, a *Alloc) *Violation {
 	for i := 0; i < a.Users(); i++ {
-		if total := a.UserTotal(i); total < g.Radios() {
+		if total, k := a.UserTotal(i), g.Budget(i); total < k {
 			return &Violation{
 				Rule: "lemma1", User: i, ChannelB: -1, ChannelC: -1,
-				Detail: fmt.Sprintf("deploys %d of %d radios", total, g.Radios()),
+				Detail: fmt.Sprintf("deploys %d of %d radios", total, k),
 			}
 		}
 	}
@@ -51,8 +65,11 @@ func CheckLemma1(g *Game, a *Alloc) *Violation {
 
 // CheckLemma2 tests Lemma 2: no NE can contain a user i and channels b, c
 // with k_{i,b} > 0, k_{i,c} = 0 and δ_{b,c} = k_b - k_c > 1. Returns a
-// witness or nil.
+// witness or nil; a "uniform" violation on a mixed-budget game.
 func CheckLemma2(g *Game, a *Alloc) *Violation {
+	if v := uniformOnly(g, "lemma2"); v != nil {
+		return v
+	}
 	for i := 0; i < a.Users(); i++ {
 		for b := 0; b < a.Channels(); b++ {
 			if a.Radios(i, b) == 0 {
@@ -75,8 +92,12 @@ func CheckLemma2(g *Game, a *Alloc) *Violation {
 }
 
 // CheckLemma3 tests Lemma 3: no NE can contain a user i and channels b, c
-// with k_{i,b} > 1, k_{i,c} = 0 and δ_{b,c} = 1.
+// with k_{i,b} > 1, k_{i,c} = 0 and δ_{b,c} = 1; a "uniform" violation on
+// a mixed-budget game.
 func CheckLemma3(g *Game, a *Alloc) *Violation {
+	if v := uniformOnly(g, "lemma3"); v != nil {
+		return v
+	}
 	for i := 0; i < a.Users(); i++ {
 		for b := 0; b < a.Channels(); b++ {
 			if a.Radios(i, b) <= 1 {
@@ -99,8 +120,12 @@ func CheckLemma3(g *Game, a *Alloc) *Violation {
 }
 
 // CheckLemma4 tests Lemma 4: no NE can contain a user i and channels b, c
-// with γ_{i,b,c} = k_{i,b} - k_{i,c} >= 2, k_{i,c} = 0 and δ_{b,c} = 0.
+// with γ_{i,b,c} = k_{i,b} - k_{i,c} >= 2, k_{i,c} = 0 and δ_{b,c} = 0; a
+// "uniform" violation on a mixed-budget game.
 func CheckLemma4(g *Game, a *Alloc) *Violation {
+	if v := uniformOnly(g, "lemma4"); v != nil {
+		return v
+	}
 	for i := 0; i < a.Users(); i++ {
 		for b := 0; b < a.Channels(); b++ {
 			if a.Radios(i, b) < 2 {
@@ -123,7 +148,8 @@ func CheckLemma4(g *Game, a *Alloc) *Violation {
 }
 
 // CheckProposition1 tests Proposition 1: in a NE, δ_{b,c} <= 1 for all
-// channel pairs (load balancing).
+// channel pairs (load balancing). Loads are budget-free, so the check
+// applies to mixed budgets as well.
 func CheckProposition1(g *Game, a *Alloc) *Violation {
 	maxLoad, b := a.MaxLoad()
 	minLoad, c := a.MinLoad()
@@ -154,7 +180,8 @@ func CheckAllLemmas(g *Game, a *Alloc) []*Violation {
 
 // TheoremNE applies Theorem 1 (plus Fact 1 for the no-conflict regime) to
 // decide whether a is a Nash equilibrium, returning a witness when it is
-// not.
+// not. On a mixed-budget game it returns false with a "uniform" violation:
+// the theorem gives no verdict there.
 //
 // The theorem assumes a strictly positive rate function on every reachable
 // load; under that assumption it is exact for constant R. For strictly
@@ -173,6 +200,9 @@ func CheckAllLemmas(g *Game, a *Alloc) []*Violation {
 func TheoremNE(g *Game, a *Alloc) (bool, *Violation) {
 	if err := g.CheckAlloc(a); err != nil {
 		return false, &Violation{Rule: "invalid", User: -1, ChannelB: -1, ChannelC: -1, Detail: err.Error()}
+	}
+	if v := uniformOnly(g, "thm1"); v != nil {
+		return false, v
 	}
 	// Lemma 1 is a standing necessary condition in both regimes.
 	if v := CheckLemma1(g, a); v != nil {

@@ -133,7 +133,7 @@ func TestForEachRestSurfacesSetRowError(t *testing.T) {
 	a := g.NewEmptyAlloc()
 	badRows := [][]int{{1, 1}} // two channels where the game has three
 	calls := 0
-	err = forEachRest(a, badRows, 0, []int{1, 1}, func(*Alloc) bool {
+	err = productWalk(a, []int{1, 1}, func(_, ri int) []int { return badRows[ri] }, func(*Alloc) bool {
 		calls++
 		return true
 	})

@@ -68,15 +68,23 @@ func TestParetoOrbitAgreesWithUnreducedExhaustive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive Pareto cross-check")
 	}
-	configs := []struct{ users, channels, radios int }{
-		{2, 2, 1},
-		{2, 2, 2},
-		{2, 3, 2},
-		{3, 2, 2},
+	configs := []struct {
+		channels int
+		budgets  []int
+	}{
+		{2, []int{1, 1}},
+		{2, []int{2, 2}},
+		{3, []int{2, 2}},
+		{2, []int{2, 2, 2}},
+		// Mixed budgets, including a non-contiguous class: budgets
+		// [2 1 2] put users 0 and 2 in one class around user 1.
+		{2, []int{1, 2}},
+		{2, []int{1, 1, 2}},
+		{3, []int{2, 1, 2}},
 	}
 	for _, rate := range differentialRates(t) {
 		for _, cfg := range configs {
-			g := mustGame(t, cfg.users, cfg.channels, cfg.radios, rate)
+			g := mustBudgetGame(t, cfg.channels, cfg.budgets, rate)
 			crossCheckPareto(t, g, DefaultEps, rate.Name())
 		}
 	}
@@ -104,27 +112,28 @@ func TestParetoOrbitEpsBoundaries(t *testing.T) {
 }
 
 // TestParetoOrbitHeteroClasses drives the shared matcher through games
-// with several exchangeability classes per profile via the hetero-style
+// with several exchangeability classes per profile via a hand-built
 // enumerator on a uniform game split by hand: users 0 and 2 share a class
 // while user 1 is alone, so the canonical constraint chains through a
-// non-contiguous class exactly as mixed-budget games do. (The hetero
-// package cross-checks its own real mixed-budget games.)
+// non-contiguous class exactly as mixed-budget games do.
+// (TestParetoOrbitAgreesWithUnreducedExhaustive covers real mixed-budget
+// games.)
 func TestParetoOrbitHeteroClasses(t *testing.T) {
 	g := mustGame(t, 3, 2, 2, ratefn.Harmonic{R0: 2, Alpha: 0.6})
-	rows, err := strategyRows(g)
+	tables, err := strategyRows(g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := tables[0]
 	// Pretend user 1 has a different class key: same row table, so every
 	// profile is still a legal profile of g, but the orbit space now has
 	// two classes {0, 2} and {1}.
 	oe := &OrbitEnumerator{
-		View:      g.View(),
-		Budgets:   []int{2, 7, 2},
-		Channels:  g.Channels(),
-		RowsFor:   func(int) [][]int { return rows },
-		Eps:       DefaultEps,
-		ErrPrefix: "core-test",
+		View:     g.View(),
+		Budgets:  []int{2, 7, 2},
+		Channels: g.Channels(),
+		RowsFor:  func(int) [][]int { return rows },
+		Eps:      DefaultEps,
 	}
 	var bases []*Alloc
 	if err := ForEachAlloc(g, 5_000_000, func(b *Alloc) bool {
@@ -220,9 +229,19 @@ func TestUtilitiesIntoMatchesUtilities(t *testing.T) {
 // TestOptimalWelfareMemo: the game-level memo must survive mutation of the
 // returned loads and serve identical values concurrently.
 func TestOptimalWelfareMemo(t *testing.T) {
-	g := mustGame(t, 3, 3, 2, ratefn.Harmonic{R0: 1, Alpha: 1})
+	for _, budgets := range [][]int{{2, 2, 2}, {2, 1, 2}} {
+		checkOptimalWelfareMemo(t, mustBudgetGame(t, 3, budgets, ratefn.Harmonic{R0: 1, Alpha: 1}))
+	}
+}
+
+func checkOptimalWelfareMemo(t *testing.T, g *Game) {
+	t.Helper()
+	total := 0
+	for _, k := range g.Budgets() {
+		total += k
+	}
 	opt1, loads1 := OptimalWelfareAllPlaced(g)
-	wantVal, wantLoads := OptimalLoadWelfare(g.View().Frozen(), g.Channels(), g.Users()*g.Radios())
+	wantVal, wantLoads := OptimalLoadWelfare(g.View().Frozen(), g.Channels(), total)
 	if opt1 != wantVal {
 		t.Fatalf("memoised optimum %v, direct DP %v", opt1, wantVal)
 	}

@@ -276,7 +276,7 @@ func (ws *Workspace) MarkRowChanged(u int) { ws.scState[u] = screenUnknown }
 func (ws *Workspace) MarkLoadChanged(c int) { ws.loadEpoch[c] = ws.epoch }
 
 // UserMarks returns an n-length, false-initialised per-user scratch slice,
-// reused across calls: the screened oracles (core and hetero) mark users
+// reused across calls: the screened oracles mark users
 // already cleared by the DP during the screen pass so the prove pass does
 // not repeat them.
 func (ws *Workspace) UserMarks(n int) []bool {
@@ -339,7 +339,7 @@ func (ws *Workspace) ensureWelfare(C, total int) (rates, f []float64, loads []in
 }
 
 // UtilitiesInto computes every user's utility into the workspace's
-// reusable buffer — the allocation-free form of the games' Utilities. The
+// reusable buffer — the allocation-free form of Game.Utilities. The
 // returned slice aliases ws and is valid until its next Utils use.
 func (rv *RateView) UtilitiesInto(ws *Workspace, a *Alloc) []float64 {
 	out := ws.Utils(a.Users())
@@ -448,8 +448,8 @@ func (rv *RateView) BestResponseAllocInto(ws *Workspace, a *Alloc, i, k int) ([]
 	return bestResponseDP(ws, C, k)
 }
 
-// UtilityOf computes U_i(S) per Eq. 3 with table-backed rates — the one
-// implementation behind both the uniform and heterogeneous games' Utility.
+// UtilityOf computes U_i(S) per Eq. 3 with table-backed rates — the
+// implementation behind Game.Utility.
 func (rv *RateView) UtilityOf(a *Alloc, i int) float64 {
 	var u float64
 	for c := 0; c < a.Channels(); c++ {
@@ -471,8 +471,7 @@ func (rv *RateView) deviates(ws *Workspace, a *Alloc, i, k int, eps float64) boo
 	return best > current+eps
 }
 
-// ScreenedNE is the screen-then-prove NE oracle shared by the core and
-// hetero games, bit-identical in verdict to the exhaustive per-user DP
+// ScreenedNE is the game's screen-then-prove NE oracle, bit-identical in verdict to the exhaustive per-user DP
 // sweep with zero steady-state allocations:
 //
 //   - screen: each user's Eq. 7 single-radio deltas (ScreenSingleMoves). A
@@ -482,16 +481,13 @@ func (rv *RateView) deviates(ws *Workspace, a *Alloc, i, k int, eps float64) boo
 //     are marked and skipped by the prove pass.
 //   - prove: remaining users pay the full O(|C|·k²) DP each.
 //
-// User i's budget is budgets[i] when budgets is non-nil, else uniformK.
-// The allocation is not validated; callers guarantee it is legal.
-func (rv *RateView) ScreenedNE(ws *Workspace, a *Alloc, uniformK int, budgets []int, eps float64) bool {
+// User i's budget is budgets[i]. The allocation is not validated; callers
+// guarantee it is legal.
+func (rv *RateView) ScreenedNE(ws *Workspace, a *Alloc, budgets []int, eps float64) bool {
 	users := a.Users()
 	cleared := ws.UserMarks(users)
 	for i := 0; i < users; i++ {
-		k := uniformK
-		if budgets != nil {
-			k = budgets[i]
-		}
+		k := budgets[i]
 		from, to, ok := rv.ScreenSingleMoves(a, i, k, eps)
 		if !ok {
 			continue
@@ -509,10 +505,7 @@ func (rv *RateView) ScreenedNE(ws *Workspace, a *Alloc, uniformK int, budgets []
 		if cleared[i] {
 			continue
 		}
-		k := uniformK
-		if budgets != nil {
-			k = budgets[i]
-		}
+		k := budgets[i]
 		if rv.deviates(ws, a, i, k, eps) {
 			return false
 		}
@@ -605,7 +598,7 @@ func (rv *RateView) rescreenDirty(ws *Workspace, a *Alloc, i, budget int, eps fl
 // walk, then per profile ScreenStep followed by MarkRowChanged /
 // MarkLoadChanged for each mutated digit and channel load. With a fresh
 // cache every state is unknown and the call degenerates to ScreenedNE.
-func (rv *RateView) ScreenedNEIncremental(ws *Workspace, a *Alloc, uniformK int, budgets []int, eps float64) bool {
+func (rv *RateView) ScreenedNEIncremental(ws *Workspace, a *Alloc, budgets []int, eps float64) bool {
 	users := a.Users()
 	// Cheapest rejection first: any user holding a still-fresh reject
 	// witness proves the profile is no NE in an O(|C|) epoch scan, before
@@ -620,10 +613,7 @@ func (rv *RateView) ScreenedNEIncremental(ws *Workspace, a *Alloc, uniformK int,
 	}
 	cleared := ws.UserMarks(users)
 	for i := 0; i < users; i++ {
-		k := uniformK
-		if budgets != nil {
-			k = budgets[i]
-		}
+		k := budgets[i]
 		var from, to int
 		var ok bool
 		switch ws.scState[i] {
@@ -663,10 +653,7 @@ func (rv *RateView) ScreenedNEIncremental(ws *Workspace, a *Alloc, uniformK int,
 		if cleared[i] {
 			continue
 		}
-		k := uniformK
-		if budgets != nil {
-			k = budgets[i]
-		}
+		k := budgets[i]
 		if rv.deviates(ws, a, i, k, eps) {
 			return false
 		}

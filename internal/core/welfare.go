@@ -9,7 +9,7 @@ import (
 )
 
 // OptimalWelfareAllPlaced computes the maximum achievable total rate
-// Σ_{c : l_c > 0} R(l_c) over load vectors that place all |N|·k radios
+// Σ_{c : l_c > 0} R(l_c) over load vectors that place all Σ_i k_i radios
 // (Lemma 1 forces full deployment in equilibrium, so this is the natural
 // welfare benchmark for NE comparisons). It returns the optimum and one
 // optimising load vector (a fresh copy). The DP runs once per game and is
@@ -21,8 +21,8 @@ func OptimalWelfareAllPlaced(g *Game) (float64, []int) {
 
 // OptimalLoadWelfare maximises Σ_{c : l_c > 0} R(l_c) over load vectors on
 // C channels placing exactly total radios — the welfare optimum depends on
-// the load vector alone, so uniform-budget and heterogeneous games share
-// this dynamic program (total = |N|·k and Σ_i k_i respectively). It returns
+// the load vector alone, so every game reduces to this dynamic program
+// with total = Σ_i k_i. It returns
 // the optimum and one optimising load vector.
 //
 // One-shot convenience form of OptimalLoadWelfareInto: a fresh workspace
@@ -105,11 +105,11 @@ func OptimalLoadWelfareInto(ws *Workspace, rate ratefn.Func, C, total int) (floa
 
 // OptimalWelfareIdleAllowed computes the maximum total rate when radios may
 // be left idle. Because R is non-increasing with R(1) maximal, the optimum
-// simply lights up min(|C|, |N|·k) channels with one radio each.
+// simply lights up min(|C|, Σ_i k_i) channels with one radio each.
 func OptimalWelfareIdleAllowed(g *Game) (float64, []int) {
 	lit := g.Channels()
-	if t := g.Users() * g.Radios(); t < lit {
-		lit = t
+	if g.total < lit {
+		lit = g.total
 	}
 	loads := make([]int, g.Channels())
 	for c := 0; c < lit; c++ {
@@ -130,59 +130,49 @@ func PriceOfAnarchy(g *Game, a *Alloc) (float64, error) {
 	return g.Welfare(a) / opt, nil
 }
 
-// enumerateRows enumerates every legal strategy row for one user: all
-// vectors over |C| channels with total radios between 0 and k. The callback
-// receives a reused buffer.
-func enumerateRows(g *Game, fn func([]int) bool) error {
-	for total := 0; total <= g.Radios(); total++ {
-		stop := false
-		err := combin.Compositions(total, g.Channels(), func(row []int) bool {
-			if !fn(row) {
-				stop = true
-				return false
+// strategyRows materialises every user's legal strategy rows: all radio
+// vectors over |C| channels with total between 0 and k_i. Equal-budget
+// users receive the SAME table slice — the exchangeability contract of the
+// orbit enumerator — so a uniform game builds one table.
+func strategyRows(g *Game) ([][][]int, error) {
+	byBudget := make(map[int][][]int, 4)
+	rows := make([][][]int, g.Users())
+	for i, k := range g.budgets {
+		if table, ok := byBudget[k]; ok {
+			rows[i] = table
+			continue
+		}
+		var table [][]int
+		for total := 0; total <= k; total++ {
+			err := combin.Compositions(total, g.channels, func(row []int) bool {
+				table = append(table, append([]int(nil), row...))
+				return true
+			})
+			if err != nil {
+				return nil, err
 			}
-			return true
-		})
-		if err != nil {
-			return err
 		}
-		if stop {
-			return nil
-		}
-	}
-	return nil
-}
-
-// strategyRows materialises every legal strategy row of one user (all
-// radio vectors with total between 0 and k).
-func strategyRows(g *Game) ([][]int, error) {
-	rows := make([][]int, 0, 64)
-	if err := enumerateRows(g, func(row []int) bool {
-		rows = append(rows, append([]int(nil), row...))
-		return true
-	}); err != nil {
-		return nil, err
+		byBudget[k] = table
+		rows[i] = table
 	}
 	return rows, nil
 }
 
-// checkProfileCap verifies perUser^users stays within maxProfiles. The
-// guard divides instead of multiplying so the running product can never
-// overflow int64: totalProfiles > maxProfiles/perUser (integer division)
-// implies totalProfiles·perUser > maxProfiles, and otherwise the product is
-// at most maxProfiles. The former `maxProfiles/perUser+1` form admitted a
-// boundary multiply that wrapped negative for huge perUser and then passed
-// the final comparison.
-func checkProfileCap(users int, perUser, maxProfiles int64) error {
-	if perUser <= 0 {
-		return fmt.Errorf("core: non-positive strategy count %d per user", perUser)
-	}
+// checkProfileCap verifies the full profile count Π_i perUser[i] stays
+// within maxProfiles. The guard divides instead of multiplying so the
+// running product can never overflow int64: totalProfiles >
+// maxProfiles/perUser (integer division) implies totalProfiles·perUser >
+// maxProfiles, and otherwise the product is at most maxProfiles.
+func checkProfileCap(perUser []int64, maxProfiles int64) error {
 	totalProfiles := int64(1)
-	for i := 0; i < users; i++ {
-		if totalProfiles > maxProfiles/perUser {
+	for _, n := range perUser {
+		if n <= 0 {
+			return fmt.Errorf("core: non-positive strategy count %d per user", n)
+		}
+		if totalProfiles > maxProfiles/n {
 			return fmt.Errorf("core: strategy space too large (> %d profiles)", maxProfiles)
 		}
-		totalProfiles *= perUser
+		totalProfiles *= n
 	}
 	if totalProfiles > maxProfiles {
 		return fmt.Errorf("core: strategy space has %d profiles, cap is %d", totalProfiles, maxProfiles)
@@ -190,8 +180,25 @@ func checkProfileCap(users int, perUser, maxProfiles int64) error {
 	return nil
 }
 
+// cappedStrategyRows is strategyRows guarded by checkProfileCap: the
+// preamble of every exhaustive search.
+func cappedStrategyRows(g *Game, maxProfiles int64) ([][][]int, error) {
+	rows, err := strategyRows(g)
+	if err != nil {
+		return nil, err
+	}
+	counts := make([]int64, len(rows))
+	for i, table := range rows {
+		counts[i] = int64(len(table))
+	}
+	if err := checkProfileCap(counts, maxProfiles); err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
 // ForEachAlloc enumerates every legal strategy matrix of the game (all
-// users, all budgets up to k) and calls fn with a reused Alloc that fn must
+// users, all totals up to each budget) and calls fn with a reused Alloc that fn must
 // treat as read-only. Returning false stops the enumeration. This is
 // exponential — it exists for the exhaustive oracles on tiny instances
 // (experiment E2) and refuses to run when the strategy space exceeds
@@ -201,32 +208,26 @@ func checkProfileCap(users int, perUser, maxProfiles int64) error {
 // rows whose odometer digit changed are re-set (usually just the last
 // user), instead of rewriting all |N| rows per profile.
 func ForEachAlloc(g *Game, maxProfiles int64, fn func(*Alloc) bool) error {
-	rows, err := strategyRows(g)
+	rows, err := cappedStrategyRows(g, maxProfiles)
 	if err != nil {
 		return err
 	}
-	if err := checkProfileCap(g.Users(), int64(len(rows)), maxProfiles); err != nil {
-		return err
+	sizes := make([]int, len(rows))
+	for i, table := range rows {
+		sizes[i] = len(table)
 	}
-
-	a := g.NewEmptyAlloc()
-	sizes := make([]int, g.Users())
-	for i := range sizes {
-		sizes[i] = len(rows)
-	}
-	return ProductWalk(a, 0, sizes, func(_, ri int) []int { return rows[ri] }, "core", fn)
+	return productWalk(g.NewEmptyAlloc(), sizes, func(u, ri int) []int { return rows[u][ri] }, fn)
 }
 
-// ProductWalk enumerates the cartesian product of per-user strategy
-// indices, setting rows of a for users offset..offset+len(sizes)-1 and
-// calling fn with the reused allocation, which fn must treat as read-only.
-// The walk is odometer-aware: between consecutive profiles only rows whose
-// index changed are re-set (usually just the last user's). rowFor maps
-// (user, index) to that user's strategy row; errPrefix labels SetRow
-// failures — rows are pre-validated by callers, but an invariant-breaking
-// allocation must stop the walk loudly rather than truncate it. Shared by
-// ForEachAlloc, the parallel shards and the hetero enumerator.
-func ProductWalk(a *Alloc, offset int, sizes []int, rowFor func(user, idx int) []int, errPrefix string, fn func(*Alloc) bool) error {
+// productWalk enumerates the cartesian product of per-user strategy
+// indices, setting the rows of a and calling fn with the reused
+// allocation, which fn must treat as read-only. The walk is
+// odometer-aware: between consecutive profiles only rows whose index
+// changed are re-set (usually just the last user's). rowFor maps (user,
+// index) to that user's strategy row; rows are pre-validated by callers,
+// but an invariant-breaking allocation must stop the walk loudly rather
+// than truncate it.
+func productWalk(a *Alloc, sizes []int, rowFor func(user, idx int) []int, fn func(*Alloc) bool) error {
 	prev := make([]int, len(sizes))
 	for i := range prev {
 		prev[i] = -1
@@ -237,8 +238,8 @@ func ProductWalk(a *Alloc, offset int, sizes []int, rowFor func(user, idx int) [
 			if ri == prev[u] {
 				continue
 			}
-			if err := a.SetRow(u+offset, rowFor(u+offset, ri)); err != nil {
-				setErr = fmt.Errorf("%s: setting row for user %d: %w", errPrefix, u+offset, err)
+			if err := a.SetRow(u, rowFor(u, ri)); err != nil {
+				setErr = fmt.Errorf("core: setting row for user %d: %w", u, err)
 				return false
 			}
 			prev[u] = ri
@@ -290,11 +291,8 @@ func FindParetoImprovement(g *Game, a *Alloc, eps float64, maxProfiles int64) (*
 	if err := g.CheckAlloc(a); err != nil {
 		return nil, err
 	}
-	rows, err := strategyRows(g)
+	rows, err := cappedStrategyRows(g, maxProfiles)
 	if err != nil {
-		return nil, err
-	}
-	if err := checkProfileCap(g.Users(), int64(len(rows)), maxProfiles); err != nil {
 		return nil, err
 	}
 	return g.orbitEnumerator(rows).ParetoImprovement(g.Utilities(a), eps)

@@ -67,6 +67,27 @@ func TestOptimalWelfareIdleAllowed(t *testing.T) {
 	if math.Abs(opt2-3) > 1e-12 {
 		t.Fatalf("optimum = %v, want 3", opt2)
 	}
+
+	// Mixed budgets: 8 channels, 2+1+1 radios light 4 channels; 2
+	// channels, 2+2+1 radios light both.
+	g3 := mustBudgetGame(t, 8, []int{2, 1, 1}, ratefn.NewTDMA(1))
+	opt3, loads3 := OptimalWelfareIdleAllowed(g3)
+	if opt3 != 4 {
+		t.Fatalf("mixed optimum %v, want 4", opt3)
+	}
+	lit = 0
+	for _, l := range loads3 {
+		if l > 1 {
+			t.Fatalf("idle-allowed loads must be 0/1, got %v", loads3)
+		}
+		lit += l
+	}
+	if lit != 4 {
+		t.Fatalf("mixed: lit %d channels, want 4", lit)
+	}
+	if opt4, _ := OptimalWelfareIdleAllowed(mustBudgetGame(t, 2, []int{2, 2, 1}, ratefn.NewTDMA(1))); opt4 != 2 {
+		t.Fatalf("mixed optimum %v, want 2", opt4)
+	}
 }
 
 func TestPriceOfAnarchyNE(t *testing.T) {
@@ -129,13 +150,32 @@ func TestForEachAllocCountsProfiles(t *testing.T) {
 	if count != 9 {
 		t.Fatalf("enumerated %d profiles, want 9", count)
 	}
+
+	// Mixed budgets (1, 2) over 2 channels: 3 rows for k=1 and
+	// 1 + 2 + 3 = 6 for k=2, so 18 profiles.
+	mixed := mustBudgetGame(t, 2, []int{1, 2}, ratefn.NewTDMA(1))
+	count = 0
+	if err := ForEachAlloc(mixed, 1000, func(*Alloc) bool {
+		count++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if count != 18 {
+		t.Fatalf("mixed budgets: enumerated %d profiles, want 18", count)
+	}
 }
 
 func TestForEachAllocCap(t *testing.T) {
-	g := mustGame(t, 4, 4, 4, ratefn.NewTDMA(1))
-	err := ForEachAlloc(g, 10, func(*Alloc) bool { return true })
-	if err == nil {
-		t.Fatal("profile cap should trigger")
+	for _, g := range []*Game{
+		mustGame(t, 4, 4, 4, ratefn.NewTDMA(1)),
+		mustBudgetGame(t, 4, []int{4, 4, 4}, ratefn.NewTDMA(1)),
+		mustBudgetGame(t, 4, []int{4, 1, 2}, ratefn.NewTDMA(1)),
+	} {
+		err := ForEachAlloc(g, 10, func(*Alloc) bool { return true })
+		if err == nil {
+			t.Fatalf("budgets %v: profile cap should trigger", g.Budgets())
+		}
 	}
 }
 
@@ -299,7 +339,11 @@ func TestCheckProfileCapOverflowEdges(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := checkProfileCap(tc.users, tc.perUser, tc.maxProfiles)
+			perUser := make([]int64, tc.users)
+			for i := range perUser {
+				perUser[i] = tc.perUser
+			}
+			err := checkProfileCap(perUser, tc.maxProfiles)
 			if tc.wantErr && err == nil {
 				t.Fatalf("checkProfileCap(%d, %d, %d) accepted, want error",
 					tc.users, tc.perUser, tc.maxProfiles)

@@ -39,14 +39,9 @@ func RunAgent(conn net.Conn, policy Policy, timeout time.Duration) (AgentResult,
 	}
 	res.User = hello.User
 	for {
-		if p.timeout > 0 {
-			if err := p.conn.SetReadDeadline(time.Now().Add(p.timeout)); err != nil {
-				return res, fmt.Errorf("dist: setting read deadline: %w", err)
-			}
-		}
-		var m message
-		if err := p.dec.Decode(&m); err != nil {
-			return res, fmt.Errorf("dist: awaiting token: %w", err)
+		m, err := p.read(msgToken)
+		if err != nil {
+			return res, err
 		}
 		switch m.Type {
 		case msgToken:

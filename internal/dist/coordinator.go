@@ -76,7 +76,7 @@ func (co *Coordinator) Run(conns []net.Conn) (*core.Alloc, Stats, error) {
 			Type:     msgHello,
 			User:     i,
 			Channels: co.g.Channels(),
-			Radios:   co.g.Radios(),
+			Radios:   co.g.Budget(i),
 		})
 		if err != nil {
 			return nil, stats, err
@@ -102,7 +102,7 @@ func (co *Coordinator) Run(conns []net.Conn) (*core.Alloc, Stats, error) {
 				return nil, stats, err
 			}
 			stats.Messages++
-			if err := co.checkRow(reply.Row); err != nil {
+			if err := co.checkRow(reply.Row, co.g.Budget(i)); err != nil {
 				return nil, stats, fmt.Errorf("dist: user %d: %w", i, err)
 			}
 			if !equalRows(reply.Row, current) {
@@ -148,8 +148,8 @@ func (co *Coordinator) Run(conns []net.Conn) (*core.Alloc, Stats, error) {
 }
 
 // checkRow validates a device's proposal against the game's dimensions and
-// radio budget.
-func (co *Coordinator) checkRow(row []int) error {
+// the device's radio budget.
+func (co *Coordinator) checkRow(row []int, budget int) error {
 	if len(row) != co.g.Channels() {
 		return fmt.Errorf("row has %d channels, want %d", len(row), co.g.Channels())
 	}
@@ -160,8 +160,8 @@ func (co *Coordinator) checkRow(row []int) error {
 		}
 		total += v
 	}
-	if total > co.g.Radios() {
-		return fmt.Errorf("row places %d radios, budget is %d", total, co.g.Radios())
+	if total > budget {
+		return fmt.Errorf("row places %d radios, budget is %d", total, budget)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"os"
 	"time"
 )
 
@@ -42,47 +43,76 @@ type message struct {
 	Moves     int     `json:"moves,omitempty"`
 }
 
-// peer wraps one conn with JSON framing and a per-message deadline.
+// peer wraps one conn with JSON framing and a per-message time bound. The
+// bound is one timer per peer, re-armed for each exchange and stopped when
+// it completes; on expiry it closes the conn, which fails the pending read
+// or write. Setting a read or write deadline per message instead would arm
+// a fresh runtime timer per call on in-process pipes, and the last one
+// armed keeps the closed pipe reachable until it fires.
 type peer struct {
 	conn    net.Conn
 	enc     *json.Encoder
 	dec     *json.Decoder
 	timeout time.Duration
+	timer   *time.Timer // nil when timeout <= 0
 }
 
 func newPeer(conn net.Conn, timeout time.Duration) *peer {
-	return &peer{
+	p := &peer{
 		conn:    conn,
 		enc:     json.NewEncoder(conn),
 		dec:     json.NewDecoder(conn),
 		timeout: timeout,
 	}
+	if timeout > 0 {
+		p.timer = time.AfterFunc(timeout, func() { conn.Close() })
+		p.timer.Stop()
+	}
+	return p
 }
 
-func (p *peer) send(m *message) error {
-	if p.timeout > 0 {
-		if err := p.conn.SetWriteDeadline(time.Now().Add(p.timeout)); err != nil {
-			return fmt.Errorf("dist: setting write deadline: %w", err)
+// exchange runs one read or write under the time bound. When the timer
+// fired during op the conn is closed, and the exchange reports the timeout
+// whatever op returned.
+func (p *peer) exchange(verb, what string, op func() error) error {
+	if p.timer == nil {
+		if err := op(); err != nil {
+			return fmt.Errorf("dist: %s %s: %w", verb, what, err)
 		}
+		return nil
 	}
-	if err := p.enc.Encode(m); err != nil {
-		return fmt.Errorf("dist: sending %s: %w", m.Type, err)
+	p.timer.Reset(p.timeout)
+	err := op()
+	if !p.timer.Stop() {
+		return fmt.Errorf("dist: %s %s: timed out after %v: %w", verb, what, p.timeout, os.ErrDeadlineExceeded)
+	}
+	if err != nil {
+		return fmt.Errorf("dist: %s %s: %w", verb, what, err)
 	}
 	return nil
 }
 
-func (p *peer) recv(wantType string) (*message, error) {
-	if p.timeout > 0 {
-		if err := p.conn.SetReadDeadline(time.Now().Add(p.timeout)); err != nil {
-			return nil, fmt.Errorf("dist: setting read deadline: %w", err)
-		}
-	}
+func (p *peer) send(m *message) error {
+	return p.exchange("sending", m.Type, func() error { return p.enc.Encode(m) })
+}
+
+// read decodes the next frame, whatever its type; what names the frame
+// awaited in errors.
+func (p *peer) read(what string) (*message, error) {
 	var m message
-	if err := p.dec.Decode(&m); err != nil {
-		return nil, fmt.Errorf("dist: awaiting %s: %w", wantType, err)
+	if err := p.exchange("awaiting", what, func() error { return p.dec.Decode(&m) }); err != nil {
+		return nil, err
+	}
+	return &m, nil
+}
+
+func (p *peer) recv(wantType string) (*message, error) {
+	m, err := p.read(wantType)
+	if err != nil {
+		return nil, err
 	}
 	if m.Type != wantType {
 		return nil, fmt.Errorf("dist: got %q, want %q", m.Type, wantType)
 	}
-	return &m, nil
+	return m, nil
 }

@@ -37,7 +37,7 @@ type ReqResult struct {
 //
 // Because carried verdicts only skip DPs for provable non-movers, the move
 // sequence, rounds and terminal allocation are bit-identical to a cold
-// RunBestResponseHetero from the same start; only Result.DPCalls shrinks.
+// RunBestResponse from the same start; only Result.DPCalls shrinks.
 func Requilibrate(lg *hetero.LiveGame, opts ...Option) (ReqResult, error) {
 	if lg == nil {
 		return ReqResult{}, fmt.Errorf("dynamics: nil live game")

@@ -88,7 +88,7 @@ func TestRequilibrateDifferentialPin(t *testing.T) {
 					t.Fatalf("event %d (%s): terminal allocation is not an exact NE", ev, kind)
 				}
 
-				cold, err := RunBestResponseHetero(g, start)
+				cold, err := RunBestResponse(g, start)
 				if err != nil {
 					t.Fatalf("event %d (%s): cold baseline: %v", ev, kind, err)
 				}

@@ -1,3 +1,10 @@
+// Package hetero is the live game: a channel allocation game whose users
+// join, leave and change radio budgets at run time (the model of the churn
+// server, cmd/allocd). LiveGame keeps the derived
+// state — the dense allocation, the rate view and the stable-id mapping —
+// consistent incrementally, records the churn that dynamics.Requilibrate
+// warm-starts from, and snapshots each generation as an immutable
+// budget-vector core.Game (Frozen).
 package hetero
 
 import (
@@ -30,7 +37,7 @@ type Churn struct {
 	Events int
 }
 
-// LiveGame is the mutable form of the heterogeneous channel allocation
+// LiveGame is the mutable form of the budget-vector channel allocation
 // game: users join, leave and change radio budgets while the derived state
 // — the dense allocation matrix, the precomputed RateView and the welfare
 // memo — is kept consistent incrementally instead of being rebuilt per
@@ -46,10 +53,10 @@ type Churn struct {
 //     only when the domain is outgrown; every rebuild samples the same
 //     pure rate function, so table values are bit-identical across
 //     generations and the domain size never shows in results.
-//   - Welfare memo: hetero.Game memoises its all-placed optimum behind a
-//     sync.Once. LiveGame snapshots an immutable Game per generation
+//   - Welfare memo: core.Game memoises its all-placed optimum behind a
+//     sync.Once. LiveGame snapshots an immutable core.Game per generation
 //     (Frozen), so each mutation implicitly resets the memo — the
-//     generation counter bumps, the next Frozen builds a Game with a
+//     generation counter bumps, the next Frozen builds a game with a
 //     fresh Once sharing the already-built view.
 //
 // A LiveGame is not safe for concurrent use; the live server serialises
@@ -69,8 +76,8 @@ type LiveGame struct {
 	viewLoad int // total-load domain the current view covers
 	viewOwn  int // per-user budget domain the current view covers
 
-	gen       uint64 // bumped by every mutation
-	frozen    *Game  // per-generation immutable snapshot
+	gen       uint64     // bumped by every mutation
+	frozen    *core.Game // per-generation immutable snapshot
 	frozenGen uint64
 
 	pending Churn
@@ -334,24 +341,25 @@ func (lg *LiveGame) SetBudget(id UserID, k int) error {
 	return nil
 }
 
-// Frozen returns the immutable hetero.Game snapshot of the current
-// generation, memoised until the next mutation: the snapshot shares the
-// live RateView (superset domains read identical values) but owns a fresh
-// welfare memo, so OptimalWelfareAllPlaced / PriceOfAnarchy recompute at
-// most once per generation. Returns nil while the game is empty.
-func (lg *LiveGame) Frozen() *Game {
+// Frozen returns the immutable core.Game snapshot of the current
+// generation, memoised until the next mutation: the snapshot copies the
+// budget vector and shares the live RateView (superset domains read
+// identical values) but owns a fresh welfare memo, so
+// OptimalWelfareAllPlaced / PriceOfAnarchy recompute at most once per
+// generation. Returns nil while the game is empty.
+func (lg *LiveGame) Frozen() *core.Game {
 	if lg.Users() == 0 {
 		return nil
 	}
 	if lg.frozen != nil && lg.frozenGen == lg.gen {
 		return lg.frozen
 	}
-	lg.frozen = &Game{
-		channels: lg.channels,
-		budgets:  append([]int(nil), lg.budgets...),
-		rate:     lg.rate,
-		view:     lg.view,
+	g, err := core.NewBudgetGameView(lg.view, lg.channels, lg.budgets)
+	if err != nil {
+		// Join and SetBudget admit only budgets in [1, channels].
+		panic("hetero: frozen snapshot: " + err.Error())
 	}
+	lg.frozen = g
 	lg.frozenGen = lg.gen
 	return lg.frozen
 }

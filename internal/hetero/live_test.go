@@ -3,6 +3,7 @@ package hetero
 import (
 	"testing"
 
+	"github.com/multiradio/chanalloc/internal/core"
 	"github.com/multiradio/chanalloc/internal/ratefn"
 )
 
@@ -222,7 +223,7 @@ func TestLiveGameFrozenMemo(t *testing.T) {
 	if g2 := lg.Frozen(); g2 != g1 {
 		t.Fatal("same-generation Frozen rebuilt the snapshot")
 	}
-	opt1, _ := OptimalWelfareAllPlaced(g1)
+	opt1, _ := core.OptimalWelfareAllPlaced(g1)
 	if _, err := lg.Join(2); err != nil {
 		t.Fatal(err)
 	}
@@ -230,14 +231,14 @@ func TestLiveGameFrozenMemo(t *testing.T) {
 	if g2 == g1 {
 		t.Fatal("mutation did not invalidate the frozen snapshot")
 	}
-	opt2, _ := OptimalWelfareAllPlaced(g2)
+	opt2, _ := core.OptimalWelfareAllPlaced(g2)
 	if opt2 <= opt1 {
 		t.Fatalf("all-placed optimum did not grow with the population: %v -> %v", opt1, opt2)
 	}
 
 	// The snapshot agrees with a from-scratch game on utilities and the
 	// welfare optimum (the view's larger domain must not show).
-	ref, err := NewGame(lg.Channels(), lg.Budgets(), lg.Rate())
+	ref, err := core.NewBudgetGame(lg.Channels(), lg.Budgets(), lg.Rate())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestLiveGameFrozenMemo(t *testing.T) {
 			t.Fatalf("user %d utility %v via live view, %v via fresh game", i, got, want)
 		}
 	}
-	refOpt, _ := OptimalWelfareAllPlaced(ref)
+	refOpt, _ := core.OptimalWelfareAllPlaced(ref)
 	if opt2 != refOpt {
 		t.Fatalf("welfare optimum %v via live view, %v via fresh game", opt2, refOpt)
 	}
@@ -264,7 +265,7 @@ func TestLiveGameViewGrowth(t *testing.T) {
 		}
 		checkConsistent(t, lg)
 	}
-	ref, err := NewGame(lg.Channels(), lg.Budgets(), lg.Rate())
+	ref, err := core.NewBudgetGame(lg.Channels(), lg.Budgets(), lg.Rate())
 	if err != nil {
 		t.Fatal(err)
 	}

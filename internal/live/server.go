@@ -349,7 +349,7 @@ func (s *Server) verifyNE() bool {
 
 // verifyRange checks users [lo, hi) have no improving deviation at the
 // oracle tolerance. A non-nil refuted flag allows cross-shard early exit.
-func verifyRange(g *hetero.Game, a *core.Alloc, ws *core.Workspace, lo, hi int, refuted *atomic.Bool) bool {
+func verifyRange(g *core.Game, a *core.Alloc, ws *core.Workspace, lo, hi int, refuted *atomic.Bool) bool {
 	for i := lo; i < hi; i++ {
 		if refuted != nil && refuted.Load() {
 			return true // some other shard already decided; verdict unaffected

@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"github.com/multiradio/chanalloc/internal/core"
-	"github.com/multiradio/chanalloc/internal/hetero"
 	"github.com/multiradio/chanalloc/internal/ratefn"
 )
 
@@ -141,22 +140,14 @@ func (d *Deployment) Uniform() bool {
 	return true
 }
 
-// Game builds the paper's uniform-k game for this deployment. It errors if
-// radio counts differ across devices; use HeteroGame then.
+// Game builds the game for this deployment: device i's radio count is
+// user i's budget, so equal counts give the paper's uniform-k game.
 func (d *Deployment) Game(rate ratefn.Func) (*core.Game, error) {
-	if !d.Uniform() {
-		return nil, fmt.Errorf("spectrum: devices have mixed radio counts; use HeteroGame")
-	}
-	return core.NewGame(len(d.devices), d.band.NumChannels, d.devices[0].Radios, rate)
-}
-
-// HeteroGame builds the heterogeneous-budget game for this deployment.
-func (d *Deployment) HeteroGame(rate ratefn.Func) (*hetero.Game, error) {
 	budgets := make([]int, len(d.devices))
 	for i, dev := range d.devices {
 		budgets[i] = dev.Radios
 	}
-	return hetero.NewGame(d.band.NumChannels, budgets, rate)
+	return core.NewBudgetGame(d.band.NumChannels, budgets, rate)
 }
 
 // Assignment maps one radio of one device to a concrete channel.

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/multiradio/chanalloc/internal/core"
-	"github.com/multiradio/chanalloc/internal/hetero"
 	"github.com/multiradio/chanalloc/internal/ratefn"
 )
 
@@ -112,7 +111,7 @@ func TestDeploymentGameUniform(t *testing.T) {
 	}
 }
 
-func TestDeploymentGameMixedRejected(t *testing.T) {
+func TestDeploymentGameMixedBudgets(t *testing.T) {
 	d, err := NewDeployment(UNII5GHz(), devices(3, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -120,15 +119,12 @@ func TestDeploymentGameMixedRejected(t *testing.T) {
 	if d.Uniform() {
 		t.Fatal("deployment should be mixed")
 	}
-	if _, err := d.Game(ratefn.NewTDMA(1)); err == nil {
-		t.Fatal("mixed radio counts should require HeteroGame")
-	}
-	hg, err := d.HeteroGame(ratefn.NewTDMA(1))
+	g, err := d.Game(ratefn.NewTDMA(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hg.Budget(0) != 3 || hg.Budget(1) != 2 {
-		t.Fatal("hetero budgets wrong")
+	if g.Uniform() || g.Budget(0) != 3 || g.Budget(1) != 2 {
+		t.Fatalf("mixed radio counts should become the budget vector, got %v", g.Budgets())
 	}
 }
 
@@ -176,17 +172,17 @@ func TestAssignmentsRoundTrip(t *testing.T) {
 }
 
 func TestAssignmentsHeteroNE(t *testing.T) {
-	// End-to-end: mixed deployment -> hetero game -> greedy allocation ->
-	// frequencies, with the allocation verified as NE.
+	// End-to-end: mixed deployment -> budget-vector game -> greedy
+	// allocation -> frequencies, with the allocation verified as NE.
 	d, err := NewDeployment(UNII5GHz(), devices(4, 2, 3, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hg, err := d.HeteroGame(ratefn.NewTDMA(1))
+	hg, err := d.Game(ratefn.NewTDMA(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	alloc, err := hetero.Algorithm1(hg, core.TieFirst, 0)
+	alloc, err := core.Algorithm1(hg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,8 +105,8 @@ func TestByName(t *testing.T) {
 		if s.Description == "" {
 			t.Errorf("%s has no description", name)
 		}
-		if (s.Game == nil) == (s.Hetero == nil) {
-			t.Errorf("%s: want exactly one of Game and Hetero", name)
+		if s.Game == nil {
+			t.Errorf("%s: no game", name)
 		}
 	}
 	if _, err := ByName("nope", r); err == nil {
@@ -226,8 +226,15 @@ func TestParametricFamilies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Hetero == nil || h.Hetero.Channels() != 6 || h.Hetero.Users() != 5 {
+	if h.Game == nil || h.Game.Channels() != 6 || h.Game.Users() != 5 || h.Game.Budget(0) != 4 || h.Game.Uniform() {
 		t.Fatalf("hetero scenario wrong: %+v", h)
+	}
+	hr, err := h.Rebuild(ratefn.NewTDMA(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := hr.Game.Budgets(), h.Game.Budgets(); len(got) != len(want) || got[4] != want[4] {
+		t.Fatalf("rebuild changed the budget vector: %v -> %v", want, got)
 	}
 
 	m, err := ByName("mesh", r)

@@ -13,7 +13,7 @@ import (
 // (users join, leave, renegotiate budgets) plus the warm-started
 // re-equilibration and the NDJSON service around them.
 type (
-	// LiveGame is a mutable heterogeneous game whose derived state — the
+	// LiveGame is a mutable budget-vector game whose derived state — the
 	// dense allocation, the rate view and the welfare memo — stays
 	// consistent across mutations.
 	LiveGame = hetero.LiveGame

@@ -8,11 +8,11 @@ import (
 )
 
 func TestPublicHeteroGame(t *testing.T) {
-	g, err := chanalloc.NewHeteroGame(6, []int{4, 2, 3, 1}, chanalloc.TDMA(1))
+	g, err := chanalloc.NewBudgetGame(6, []int{4, 2, 3, 1}, chanalloc.TDMA(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := chanalloc.HeteroAlgorithm1(g, chanalloc.TieFirst, 0)
+	a, err := chanalloc.Algorithm1(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,11 +36,11 @@ func TestPublicDeployment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := d.HeteroGame(chanalloc.TDMA(1))
+	g, err := d.Game(chanalloc.TDMA(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := chanalloc.HeteroAlgorithm1(g, chanalloc.TieFirst, 0)
+	a, err := chanalloc.Algorithm1(g)
 	if err != nil {
 		t.Fatal(err)
 	}
