@@ -114,10 +114,10 @@ func channelNormalForm(g *core.Game) (normalForm, [][][]int) {
 // matrixKey renders a strategy matrix for set comparison.
 func matrixKey(m [][]int) string { return fmt.Sprint(m) }
 
-// TestNormalFormOracleSanity checks the oracle itself on two textbook
-// games: the prisoner's dilemma has exactly one pure equilibrium (mutual
-// defection), matching pennies has none.
-func TestNormalFormOracleSanity(t *testing.T) {
+// TestNormalFormOraclePrisonersDilemma checks the oracle itself on a
+// textbook game: the prisoner's dilemma has exactly one pure equilibrium,
+// mutual defection.
+func TestNormalFormOraclePrisonersDilemma(t *testing.T) {
 	pd := normalForm{sizes: []int{2, 2}, payoff: func(p []int) []float64 {
 		// Strategy 0 cooperates, 1 defects.
 		table := [2][2][2]float64{{{3, 3}, {0, 5}}, {{5, 0}, {1, 1}}}
@@ -127,6 +127,11 @@ func TestNormalFormOracleSanity(t *testing.T) {
 	if got := pd.pureNE(0); len(got) != 1 || got[0][0] != 1 || got[0][1] != 1 {
 		t.Fatalf("prisoner's dilemma equilibria %v, want [[1 1]]", got)
 	}
+}
+
+// TestNormalFormOracleMatchingPennies checks the oracle on a game with no
+// pure equilibrium.
+func TestNormalFormOracleMatchingPennies(t *testing.T) {
 	pennies := normalForm{sizes: []int{2, 2}, payoff: func(p []int) []float64 {
 		if p[0] == p[1] {
 			return []float64{1, -1}
@@ -136,8 +141,37 @@ func TestNormalFormOracleSanity(t *testing.T) {
 	if got := pennies.pureNE(0); len(got) != 0 {
 		t.Fatalf("matching pennies has no pure equilibrium, oracle found %v", got)
 	}
-	if n := len(budgetRows(3, 2)); n != 10 {
-		t.Fatalf("rows of at most 2 radios over 3 channels: %d, want 1+3+6", n)
+}
+
+// TestNormalFormOraclePoAConstantRate: under constant R in the conflict
+// regime every equilibrium occupies all channels, so the oracle's own price
+// of anarchy — worst equilibrium welfare over the best welfare of any
+// profile — is 1 (Theorem 2's system-optimality corollary).
+func TestNormalFormOraclePoAConstantRate(t *testing.T) {
+	g, err := core.NewGame(2, 2, 2, ratefn.NewTDMA(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nf, _ := channelNormalForm(g)
+	welfare := func(profile []int) float64 {
+		var sum float64
+		for _, u := range nf.payoff(profile) {
+			sum += u
+		}
+		return sum
+	}
+	best := math.Inf(-1)
+	nf.forEachProfile(func(profile []int) { best = math.Max(best, welfare(profile)) })
+	nes := nf.pureNE(core.DefaultEps)
+	if len(nes) == 0 {
+		t.Fatal("no pure equilibrium")
+	}
+	worst := math.Inf(1)
+	for _, profile := range nes {
+		worst = math.Min(worst, welfare(profile))
+	}
+	if poa := worst / best; math.Abs(poa-1) > 1e-9 {
+		t.Fatalf("PoA = %v, want 1", poa)
 	}
 }
 
@@ -146,6 +180,9 @@ func TestNormalFormOracleSanity(t *testing.T) {
 // equilibrium sets must be equal, and under constant R (conflict regime)
 // every equilibrium is welfare-optimal, PoA = 1.
 func TestEnumerateNEMatchesNormalFormOracle(t *testing.T) {
+	if n := len(budgetRows(3, 2)); n != 10 {
+		t.Fatalf("rows of at most 2 radios over 3 channels: %d, want 1+3+6", n)
+	}
 	games := []struct {
 		channels int
 		budgets  []int
